@@ -29,6 +29,14 @@ stream is record-for-record identical to the generator (pinned by the
 golden-equivalence tests) — prefetching only moves *production* of
 future records earlier, which is legal precisely because these
 workloads cannot react to simulation state.
+
+Under the C cache walk the C scheduler
+(:meth:`repro.engine.c_cache.CWalkState.run_cores`) steps batch-fed
+cores itself: it reads the current chunk as one ``array('q')``, and
+copies ``time``/``instructions``/``memory_ops``/``_last_latency``/
+``finished``, the pending op and the chunk position back into the
+core whenever control returns to Python.  Chunks are still fetched
+by :meth:`advance`, so emission stays here.
 """
 
 from __future__ import annotations
@@ -141,8 +149,22 @@ class Core:
             self._throttle_base = self._access
         base = self._throttle_base
 
-        def throttled(core, op, addr, now=0, _base=base, _penalty=penalty):
-            return _base(core, op, addr, now) + _penalty
+        if self._l1d is not None:
+            def throttled(core, op, addr, now=0, _base=base,
+                          _penalty=penalty):
+                return _base(core, op, addr, now) + _penalty
+        else:
+            # Under the C walk L1 read hits reach the kernel too; the
+            # other engines serve them inline in ``step``, unpenalised.
+            # A read is an L1 hit exactly when it bumps the walk's
+            # l1_hits counter.
+            def throttled(core, op, addr, now=0, _base=base,
+                          _penalty=penalty, _st=self.hierarchy._c_state.st):
+                if op:
+                    return _base(core, op, addr, now) + _penalty
+                hits = _st.s_l1_hits
+                latency = _base(core, 0, addr, now)
+                return latency if _st.s_l1_hits != hits else latency + _penalty
 
         self._access = throttled
 

@@ -5,6 +5,17 @@ memory operations in global timestamp order, and scheduled events
 (PiPoMonitor's delayed prefetches) fire before any operation with a
 later timestamp touches the hierarchy — the property the defense
 evaluation depends on.
+
+The interleave has two executions with identical semantics.  Under
+the C cache walk, when every live core is fed by record chunks and
+bound unthrottled to the walk's kernel, the loop runs in C
+(:meth:`repro.engine.c_cache.CWalkState.run_cores`): one boundary
+crossing per record chunk, due event or walk callback instead of one
+per memory op.  Everything else — the ``python``/``specialized``
+engines, generator-fed cores (attackers, ``run_defended_workloads``),
+a core throttled mid-run, hierarchies the C walk refuses — runs the
+Python heap loop below, which also takes over whatever the C loop
+hands back.
 """
 
 from __future__ import annotations
@@ -106,6 +117,18 @@ class MulticoreSystem:
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
+            # Under the C cache walk, batch-fed cores run the same
+            # interleave in C; whatever it hands back (a core got
+            # throttled mid-run) continues on the loop below.
+            c_walk = self.hierarchy._c_state
+            if heap and c_walk is not None and c_walk.can_schedule(cores):
+                heap = [
+                    core.time << 8 | core.core_id
+                    for core in c_walk.run_cores(
+                        cores, events, max_instructions_per_core, completion
+                    )
+                ]
+                heapq.heapify(heap)
             while heap:
                 key = heap[0]
                 cid = key & 255

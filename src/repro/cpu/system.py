@@ -11,7 +11,10 @@ through the chunked batch prefetch (:class:`repro.cpu.core.Core`'s
 ``batches`` mode) instead of a per-record generator.  The record
 streams are identical either way, so results are bit-identical —
 ``REPRO_BATCH=0`` (or ``batch=False``) forces the generator path,
-which the golden-equivalence tests compare against.
+which the golden-equivalence tests compare against.  Under the C
+cache walk a system of batch-fed cores is interleaved by the C
+scheduler (see :mod:`repro.cpu.multicore`); generator-fed cores keep
+the Python loop.
 
 Engine binding happens here implicitly: both assembly helpers attach
 the monitor *before* constructing cores, and each core resolves its

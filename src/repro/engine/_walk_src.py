@@ -26,6 +26,12 @@ for ``_memory_versions``.  Monitor side effects that live in Python
 (alarm publication, captured-line tracking, the pEvict/prefetch tail)
 come back through ``extern "Python"`` callbacks.
 
+``cw_run`` is the multicore scheduler loop of
+``MulticoreSystem.run`` over record chunks: it interleaves the cores
+in (time, core id) order and calls ``cw_access`` directly, returning
+to Python only for a new chunk, a due event, or after a callback (see
+``CWalkState.run_cores`` in :mod:`repro.engine.c_cache`).
+
 Error protocol: walk entry points return a negative latency (or the
 prefetch helper -1) after setting ``err``/``err_addr``/``err_cache``
 on the state; the Python wrappers re-raise the exact exception the
@@ -122,7 +128,21 @@ typedef struct {
     int err;
     int err_cache;
     uint64_t err_addr;
+    int cb_fired;
 } cw_hier;
+
+typedef struct {
+    const int64_t *recs;
+    int64_t n;
+    int64_t pos;
+    int64_t time;
+    int64_t instructions;
+    int64_t memory_ops;
+    int64_t last_latency;
+    int64_t pending_addr;
+    int32_t pending_op;
+    int32_t active;
+} cw_core;
 
 int64_t cw_access(cw_hier *h, int core, int op, uint64_t addr, int64_t now);
 int64_t cw_clflush(cw_hier *h, int core, uint64_t addr, int64_t now);
@@ -130,6 +150,8 @@ int cw_prefetch_fill(cw_hier *h, uint64_t line_addr, int64_t now, int tag);
 int64_t cw_access_many(cw_hier *h, const int32_t *cores, const int32_t *ops,
                        const uint64_t *addrs, int64_t n, int64_t now,
                        int64_t *lat_out);
+int cw_run(cw_hier *h, cw_core *cores, int n, int64_t budget,
+           int has_event, int64_t event_time, int *which);
 int cw_map_put(cw_hier *h, uint64_t key, uint64_t val);
 void cw_map_items(cw_hier *h, uint64_t *keys_out, uint64_t *vals_out);
 void cw_hier_free(cw_hier *h);
@@ -239,7 +261,21 @@ typedef struct {
     int err;
     int err_cache;
     uint64_t err_addr;
+    int cb_fired;
 } cw_hier;
+
+typedef struct {
+    const int64_t *recs;
+    int64_t n;
+    int64_t pos;
+    int64_t time;
+    int64_t instructions;
+    int64_t memory_ops;
+    int64_t last_latency;
+    int64_t pending_addr;
+    int32_t pending_op;
+    int32_t active;
+} cw_core;
 
 static int cw_cb_access(void *ctx, uint64_t line_addr, int64_t now);
 static int cw_cb_capture(void *ctx, uint64_t line_addr, int64_t now);
@@ -765,6 +801,7 @@ static int cw_handle_llc_evict(cw_hier *h, uint64_t vaddr, uint64_t vword,
     h->s_llc_evictions++;
     if (h->mon_kind && ((vword & 2) || h->needs_all)) {
         uint64_t out;
+        h->cb_fired = 1;
         if (cw_cb_evict(h->ctx, vaddr, vword, vstamp, now, &out) != 0) {
             h->err = CW_ERR_CALLBACK;
             return -1;
@@ -822,15 +859,19 @@ static int64_t cw_fetch_into_llc(cw_hier *h, uint64_t line_addr, int64_t now,
             h->m_accesses++;
             if (acf_access(h->acf, line_addr) >= (int)h->thresh) {
                 h->m_captures++;
-                if (h->capture_cb
-                    && cw_cb_capture(h->ctx, line_addr, now) != 0) {
-                    h->err = CW_ERR_CALLBACK;
-                    return -1;
+                if (h->capture_cb) {
+                    h->cb_fired = 1;
+                    if (cw_cb_capture(h->ctx, line_addr, now) != 0) {
+                        h->err = CW_ERR_CALLBACK;
+                        return -1;
+                    }
                 }
                 captured = 1;
             }
         } else {
-            int r = cw_cb_access(h->ctx, line_addr, now);
+            int r;
+            h->cb_fired = 1;
+            r = cw_cb_access(h->ctx, line_addr, now);
             if (r < 0) {
                 h->err = CW_ERR_CALLBACK;
                 return -1;
@@ -954,6 +995,7 @@ int64_t cw_clflush(cw_hier *h, int core, uint64_t addr, int64_t now)
     latency += h->llc_lat;
     if (h->mon_kind && ((word & 2) || h->needs_all)) {
         uint64_t out;
+        h->cb_fired = 1;
         if (cw_cb_evict(h->ctx, line_addr, word, stamp, now, &out) != 0) {
             h->err = CW_ERR_CALLBACK;
             return -1;
@@ -1158,5 +1200,69 @@ int64_t cw_access_many(cw_hier *h, const int32_t *cores, const int32_t *ops,
         lat_out[i] = lat;
     }
     return -1;  /* all served */
+}
+
+/* ------------------------------------------------------------------ */
+/* Multicore scheduler over record chunks (MulticoreSystem.run's loop).
+ *
+ * Each step picks the active core with the smallest (time, index) —
+ * the Python heap's order — executes its pending op through
+ * cw_access, applies the instruction budget, and pops the core's next
+ * (compute, op, addr) record (op < 0: pure compute).  Control returns
+ * to Python whenever Python has work to do: */
+#define CW_RUN_DONE     0  /* every core finished */
+#define CW_RUN_CHUNK    1  /* core *which needs its next record chunk */
+#define CW_RUN_EVENT    2  /* core *which's op would reach event_time */
+#define CW_RUN_CALLBACK 3  /* a walk callback fired (events may be new) */
+#define CW_RUN_ERROR   -1  /* cw_access failed (err set) */
+
+int cw_run(cw_hier *h, cw_core *cores, int n, int64_t budget,
+           int has_event, int64_t event_time, int *which)
+{
+    h->cb_fired = 0;
+    for (;;) {
+        cw_core *c = NULL;
+        const int64_t *rec;
+        int i, best = -1;
+        for (i = 0; i < n; i++) {
+            if (cores[i].active && (c == NULL || cores[i].time < c->time)) {
+                c = &cores[i];
+                best = i;
+            }
+        }
+        if (c == NULL)
+            return CW_RUN_DONE;
+        *which = best;
+        if (has_event && event_time <= c->time)
+            return CW_RUN_EVENT;
+        if (c->pending_op >= 0) {
+            int64_t lat = cw_access(h, best, c->pending_op,
+                                    (uint64_t)c->pending_addr, c->time);
+            if (lat < 0)
+                return CW_RUN_ERROR;
+            c->time += lat;
+            c->instructions++;
+            c->memory_ops++;
+            c->last_latency = lat;
+            c->pending_op = -1;
+        }
+        if (c->instructions >= budget) {
+            c->active = 0;
+        } else if (c->pos >= c->n) {
+            return CW_RUN_CHUNK;
+        } else {
+            rec = c->recs + 3 * c->pos++;
+            c->time += rec[0];
+            c->instructions += rec[0];
+            if (rec[1] < 0) {
+                c->last_latency = 0;
+            } else {
+                c->pending_op = (int32_t)rec[1];
+                c->pending_addr = rec[2];
+            }
+        }
+        if (h->cb_fired)
+            return CW_RUN_CALLBACK;
+    }
 }
 """

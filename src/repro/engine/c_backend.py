@@ -21,8 +21,9 @@ scenario must replay bit-identically under the C engine.
 The extension is **built lazily at first use** and cached under
 ``~/.cache/repro-engine`` (override with ``REPRO_ENGINE_CACHE``); the
 cache key hashes the full generated source plus the interpreter/cffi/
-compiler identity, so any edit to the C code (or a toolchain change)
-lands in a fresh directory and a stale ``.so`` can never satisfy a
+compiler identity and the compiler environment (``CC``, ``CFLAGS``,
+``LDFLAGS``, ...), so any edit to the C code (or a toolchain or flag
+change) lands in a fresh directory and a stale ``.so`` can never satisfy a
 newer source.  When cffi or a C toolchain is missing the build fails
 quietly and callers fall back to the specialized Python kernel — the
 ``c`` engine degrades, it never breaks — but the failure is recorded
@@ -275,6 +276,36 @@ def _cache_dir() -> Path:
     return Path.home() / ".cache" / "repro-engine"
 
 
+#: Environment variables the setuptools compile step reads on top of
+#: ``sysconfig`` — a sanitizer build (``CFLAGS=-fsanitize=...``) and a
+#: plain one must never share a cache entry.
+_COMPILER_ENV = ("CC", "CFLAGS", "CPPFLAGS", "LDFLAGS", "LDSHARED")
+
+
+def _cache_tag() -> str:
+    """The build-cache key.
+
+    It covers everything that can change the built artefact: the full
+    generated source (cdef + C), the module name, the interpreter ABI,
+    the cffi version, the configured compiler, and the compiler
+    environment (:data:`_COMPILER_ENV`).  A source edit — even within
+    one repo version — or different build flags therefore always land
+    in a fresh directory; a stale cached .so can never be loaded
+    against newer source or other flags.
+    """
+    import cffi
+
+    return hashlib.sha256("\\x00".join((
+        _MODULE_NAME,
+        _FULL_CDEF,
+        _FULL_CSOURCE,
+        sys.version,
+        getattr(cffi, "__version__", "?"),
+        str(sysconfig.get_config_var("CC") or ""),
+        *(f"{name}={os.environ.get(name, '')}" for name in _COMPILER_ENV),
+    )).encode()).hexdigest()[:20]
+
+
 def _load_lib():
     """Build (or load the cached build of) the extension; returns the
     ``(ffi, lib)`` pair or None when cffi/toolchain are unavailable."""
@@ -286,23 +317,7 @@ def _load_lib():
 
         from cffi import FFI
 
-        # The cache key covers everything that can change the built
-        # artefact: the full generated source (cdef + C), the module
-        # name, the interpreter ABI, the cffi version, and the
-        # compiler identity.  A source edit — even within one repo
-        # version — therefore always lands in a fresh directory; a
-        # stale cached .so can never be loaded against newer source.
-        import cffi as _cffi_mod
-
-        tag = hashlib.sha256("\\x00".join((
-            _MODULE_NAME,
-            _FULL_CDEF,
-            _FULL_CSOURCE,
-            sys.version,
-            getattr(_cffi_mod, "__version__", "?"),
-            str(sysconfig.get_config_var("CC") or ""),
-        )).encode()).hexdigest()[:20]
-        cache = _cache_dir() / tag
+        cache = _cache_dir() / _cache_tag()
         ffibuilder = FFI()
         ffibuilder.cdef(_FULL_CDEF)
         ffibuilder.set_source(_MODULE_NAME, _FULL_CSOURCE)

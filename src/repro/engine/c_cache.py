@@ -48,11 +48,27 @@ monitor once at install time:
 Callbacks only schedule events (alarm subscribers and response
 policies go through the event queue — pinned by the conformance
 suite), so they never re-enter the walk synchronously.
+
+Scheduler
+---------
+:meth:`CWalkState.run_cores` runs ``MulticoreSystem.run``'s
+min-(time, core id) interleave itself in C (``cw_run``) when every
+live core is fed by record chunks and bound, unthrottled, to this
+walk's kernel (:meth:`CWalkState.can_schedule`).  Each chunk of
+record tuples becomes one ``array('q')`` of (compute, op, addr)
+triples (op -1 for a pure-compute record) in a single C-level pass.
+Control comes back to Python when a core's chunk runs out, when the
+next op would reach the earliest pending event, and after any walk
+callback (it may have scheduled an event); every core's state is
+copied back to its :class:`~repro.cpu.core.Core` each time, so event
+actions and the Python loop see exactly what they would have seen.
 """
 
 from __future__ import annotations
 
 import weakref
+from array import array
+from itertools import chain
 
 from repro.cache.coherence import CoherenceViolation
 from repro.cache.line import CacheLine
@@ -79,6 +95,30 @@ _TELE_EXPORTS = (
 
 _U64 = (1 << 64) - 1
 _EMPTY = 0xFFFFFFFFFFFFFFFF
+_I64_MAX = (1 << 63) - 1
+
+#: ``cw_run`` return codes (see ``_walk_src``).
+_RUN_DONE, _RUN_CHUNK, _RUN_EVENT = 0, 1, 2
+
+
+def _record_array(chunk):
+    """A chunk of ``(compute, op, addr)`` tuples as one flat
+    ``array('q')``, op None as -1; None when a record does not fit
+    (the core then stays on the Python loop, which handles or raises
+    on it exactly as before)."""
+    # Materialising the flat list first lets array() size itself once
+    # (measured ~1.5x faster than feeding it the chain iterator).
+    fields = list(chain.from_iterable(chunk))
+    if len(fields) != 3 * len(chunk):
+        return None
+    try:
+        try:
+            return array("q", fields)
+        except TypeError:
+            return array("q", [-1 if f is None else f for f in fields])
+    except (TypeError, OverflowError):
+        return None
+
 
 #: One-shot ``@ffi.def_extern`` registration (process-wide, like the
 #: extension itself).
@@ -444,6 +484,98 @@ class CWalkState:
         self.clflush = clflush
         self.prefetch_fill = prefetch_fill
         self.access_many = access_many
+
+    # ------------------------------------------------------------------
+    # Scheduler (see module docstring)
+
+    def can_schedule(self, cores) -> bool:
+        """True when ``cw_run`` may drive ``cores``: every live core is
+        batch-fed, sits at its own index (within the walk's core
+        count), and calls this walk's kernel directly (a throttle
+        wrapper or a foreign binding keeps the whole run on the Python
+        loop)."""
+        kernel = self.kernel
+        return len(cores) <= self.st.num_cores and all(
+            core.finished
+            or (core._batches is not None and core._access is kernel
+                and core.core_id == index)
+            for index, core in enumerate(cores)
+        )
+
+    def run_cores(self, cores, events, budget, completion) -> list:
+        """Run the scheduler loop of ``MulticoreSystem.run`` in C.
+
+        ``cores`` have had their first ``advance``; ``budget`` is the
+        per-core instruction budget (None for unbounded) and
+        ``completion`` maps core id to completion time, updated as
+        cores finish.  Returns the cores still running when the rest
+        of the run must stay on the Python loop (empty when every core
+        finished here).
+        """
+        ffi = self.ffi
+        n = len(cores)
+        slots = ffi.new("cw_core[]", n)
+        which = ffi.new("int *")
+        run = self.lib.cw_run
+        st = self.st
+        limit = _I64_MAX if budget is None else budget
+        # Per core: the cffi view keeping its current chunk's record
+        # array alive (None: convert ``core._chunk`` on the next load).
+        views = [None] * n
+        while True:
+            for i, core in enumerate(cores):
+                slot = slots[i]
+                if core.finished:
+                    slot.active = 0
+                    continue
+                if views[i] is None:
+                    records = _record_array(core._chunk)
+                    if records is None:
+                        return [c for c in cores if not c.finished]
+                    views[i] = slot.recs = ffi.from_buffer(
+                        "int64_t[]", records)
+                    slot.n = core._chunk_len
+                op = core._pending_op
+                slot.pos = core._chunk_pos
+                slot.time = core.time
+                slot.instructions = core.instructions
+                slot.memory_ops = core.memory_ops
+                slot.last_latency = core._last_latency
+                slot.pending_op = -1 if op is None else op
+                slot.pending_addr = core._pending_addr
+                slot.active = 1
+            next_event = events.next_time()
+            code = run(st, slots, n, limit, next_event is not None,
+                       next_event or 0, which)
+            self.dirty = True
+            for i, core in enumerate(cores):
+                if core.finished:
+                    continue
+                slot = slots[i]
+                op = slot.pending_op
+                core.time = slot.time
+                core.instructions = slot.instructions
+                core.memory_ops = slot.memory_ops
+                core._last_latency = slot.last_latency
+                core._pending_op = None if op < 0 else op
+                core._pending_addr = slot.pending_addr
+                core._chunk_pos = slot.pos
+                if not slot.active:
+                    core.finished = True
+                    completion[core.core_id] = core.time
+            if code == _RUN_DONE:
+                return []
+            if code < 0:
+                self._raise()
+            core = cores[which[0]]
+            if code == _RUN_EVENT:
+                events.run_until(core.time)
+            elif code == _RUN_CHUNK:
+                views[which[0]] = None
+                if not core.advance():
+                    completion[core.core_id] = core.time
+            if not self.can_schedule(cores):
+                return [c for c in cores if not c.finished]
 
     def _tele_values(self) -> tuple[int, int, int, int, int]:
         """Current struct-side values of the exported counters (one

@@ -893,6 +893,21 @@ class AutoCuckooFilter:
         if sys.byteorder == "big":
             fps.byteswap()
         sec = data[header_size + entry_count * 4:]
+        # Row contents are validated before anything is installed: an
+        # out-of-range fingerprint would index past the alternate-
+        # bucket table on the next kick walk (in C, an out-of-bounds
+        # read).
+        if max(fps, default=0) > flt.hasher._fp_mask:
+            raise ValueError("fingerprint wider than the filter's f bits")
+        if max(sec, default=0) > security_threshold:
+            raise ValueError("Security value above the filter's secThr")
+        if any(s for fp, s in zip(fps, sec) if not fp):
+            raise ValueError("nonzero Security on an empty slot")
+        occupied = entry_count - fps.count(0)
+        if valid_count != occupied:
+            raise ValueError(
+                f"valid_count {valid_count} != {occupied} occupied slots"
+            )
         b = entries_per_bucket
         for index in range(num_buckets):
             flt._fps[index][:] = fps[index * b:(index + 1) * b].tolist()

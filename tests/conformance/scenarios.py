@@ -38,7 +38,10 @@ from repro.attacks.covert_channel import run_covert_channel  # noqa: E402
 from repro.attacks.flush_reload import run_flush_attack  # noqa: E402
 from repro.attacks.primeprobe import run_prime_probe_attack  # noqa: E402
 from repro.baselines.registry import DEFENCES  # noqa: E402
-from repro.cpu.system import run_defended_workloads  # noqa: E402
+from repro.cpu.system import (  # noqa: E402
+    run_defended_workloads,
+    run_workloads,
+)
 from repro.detection import DetectionSpec  # noqa: E402
 from repro.experiments.common import (  # noqa: E402
     scaled_mix_workloads,
@@ -117,14 +120,28 @@ def benign(defence: str):
     engine-level scenario the performance experiments are made of.
 
     Built on the explicit generator path so the fixture is independent
-    of the ``REPRO_BATCH`` toggle (batch equivalence has its own
-    golden tests in ``tests/test_packed_and_batching.py``).
+    of the ``REPRO_BATCH`` toggle (the batch-fed path has its own
+    scenarios, :func:`benign_batch`).
     """
     config = scaled_system_config(False, monitor_enabled=False)
     workloads = scaled_mix_workloads("mix1", False)
     simulation, _, _ = run_defended_workloads(
         config, workloads, defence, seed=SEED,
         instructions_per_core=BENIGN_INSTRUCTIONS,
+    )
+    return canonical({"simulation": simulation})
+
+
+def benign_batch(defence: str):
+    """The same mix on the Fig. 8 assembly path: ``run_workloads``
+    with batch-fed cores (``record_chunks``), the path the C engine's
+    multicore scheduler takes over — so this pair is its golden gate.
+    ``defence`` is ``none`` (the baseline) or ``pipo`` (the monitor
+    ``SystemConfig.monitor_enabled`` deploys)."""
+    config = scaled_system_config(False, monitor_enabled=(defence == "pipo"))
+    workloads = scaled_mix_workloads("mix1", False)
+    simulation = run_workloads(
+        config, workloads, BENIGN_INSTRUCTIONS, seed=SEED, batch=True,
     )
     return canonical({"simulation": simulation})
 
@@ -314,6 +331,10 @@ def _build_registry():
         scenarios[f"covert__{defence}"] = lambda d=defence: covert(d)
     for defence in DEFENCES:
         scenarios[f"benign_mix1__{defence}"] = lambda d=defence: benign(d)
+    for defence in ("none", "pipo"):
+        scenarios[f"benign_mix1_batch__{defence}"] = (
+            lambda d=defence: benign_batch(d)
+        )
     scenarios.update(DETECTION_SCENARIOS)
     scenarios.update(STORAGE_SCENARIOS)
     return scenarios

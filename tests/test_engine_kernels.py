@@ -162,6 +162,18 @@ class TestCBackend:
         assert [ref.access(k) for k in keys] == [cfl.access(k) for k in keys]
         assert ref.snapshot() == cfl.snapshot()
 
+    def test_cache_tag_tracks_compiler_flags(self, monkeypatch):
+        # A sanitizer build and a plain build must never share (and
+        # silently reuse) one cached extension.
+        from repro.engine import c_backend
+
+        monkeypatch.delenv("CFLAGS", raising=False)
+        plain = c_backend._cache_tag()
+        monkeypatch.setenv("CFLAGS", "-fsanitize=address,undefined")
+        assert c_backend._cache_tag() != plain
+        monkeypatch.delenv("CFLAGS")
+        assert c_backend._cache_tag() == plain
+
     def test_c_backend_midstream_install(self):
         # Installing after Python-side accesses must carry the table
         # over exactly (the C arrays are seeded from the live lists).

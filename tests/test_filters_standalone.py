@@ -215,6 +215,39 @@ class TestSerialization:
         with pytest.raises(ValueError):
             AutoCuckooFilter.from_bytes(blob[:-1])
 
+    @pytest.mark.parametrize("corruption", [
+        "wide_fingerprint", "security_above_threshold",
+        "security_on_empty_slot", "valid_count_mismatch",
+    ])
+    def test_from_bytes_rejects_invalid_rows(self, corruption):
+        """Blobs of valid length whose rows no filter can reach are
+        refused before install — a fingerprint past f bits would
+        otherwise index past the alternate-bucket table on the next
+        kick walk (out of bounds under the C kernel)."""
+        import struct
+
+        flt = _small(5)
+        flt.insert_many(range(40))
+        blob = bytearray(flt.to_bytes())
+        header = struct.calcsize("<4sHHIIIIIQQQQQQ")
+        entries = SMALL_BUCKETS * SMALL_ENTRIES
+        fps = array("I", blob[header:header + 4 * entries])
+        sec_at = header + 4 * entries
+        full = next(i for i, fp in enumerate(fps) if fp)
+        empty = next(i for i, fp in enumerate(fps) if not fp)
+        valid_count_at = struct.calcsize("<4sHHIIIIIQQ")
+        if corruption == "wide_fingerprint":
+            fps[full] = 1 << 8
+            blob[header:sec_at] = fps.tobytes()
+        elif corruption == "security_above_threshold":
+            blob[sec_at + full] = flt.security_threshold + 1
+        elif corruption == "security_on_empty_slot":
+            blob[sec_at + empty] = 1
+        else:
+            struct.pack_into("<Q", blob, valid_count_at, flt.valid_count + 1)
+        with pytest.raises(ValueError):
+            AutoCuckooFilter.from_bytes(bytes(blob))
+
     def test_instrumented_filters_refuse_serialization(self):
         flt = AutoCuckooFilter(
             num_buckets=SMALL_BUCKETS, entries_per_bucket=SMALL_ENTRIES,
