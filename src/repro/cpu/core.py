@@ -20,8 +20,10 @@ interleave shared-state mutations in global time order:
 Chunked batch prefetch
 ----------------------
 Workloads that ignore latency feedback (``workload.batchable``) can be
-bound through ``batches`` — an iterator of record-tuple chunks
-(:meth:`repro.workloads.base.Workload.record_chunks`).  The core then
+bound through ``batches`` — an iterator of record chunks, either
+record tuples (:meth:`repro.workloads.base.Workload.record_chunks`)
+or packed ``array('q')`` records
+(:meth:`~repro.workloads.base.Workload.batch_stream`).  The core then
 pops one record per step from its current chunk instead of resuming a
 generator frame per record.  Interleave semantics are untouched: the
 scheduler still hands out exactly one record per step, and the chunked
@@ -32,17 +34,26 @@ workloads cannot react to simulation state.
 
 Under the C cache walk the C scheduler
 (:meth:`repro.engine.c_cache.CWalkState.run_cores`) steps batch-fed
-cores itself: it reads the current chunk as one ``array('q')``, and
-copies ``time``/``instructions``/``memory_ops``/``_last_latency``/
-``finished``, the pending op and the chunk position back into the
-core whenever control returns to Python.  Chunks are still fetched
-by :meth:`advance`, so emission stays here.
+cores itself: it reads the current packed chunk in place (tuple
+chunks are packed first), and copies ``time``/``instructions``/
+``memory_ops``/``_last_latency``/``finished``, the pending op and the
+chunk position back into the core whenever control returns to
+Python.  Chunks are still fetched by :meth:`advance`, which decodes
+either form; :meth:`step`, the Python loop's fast path, reads tuples
+only, so the scheduler calls :meth:`unpack_chunks` before handing a
+core to that loop.
 """
 
 from __future__ import annotations
 
+from array import array
+
 from repro.cache.hierarchy import CacheHierarchy
-from repro.workloads.base import WorkloadGenerator
+from repro.workloads.base import (
+    WorkloadGenerator,
+    unpack_record,
+    unpack_records,
+)
 
 
 class Core:
@@ -212,7 +223,8 @@ class Core:
         return True
 
     def _advance_batched(self) -> bool:
-        """Pop one record tuple from the prefetched chunk."""
+        """Pop one record, packed or a tuple, from the prefetched
+        chunk."""
         pos = self._chunk_pos
         if pos >= self._chunk_len:
             try:
@@ -223,7 +235,10 @@ class Core:
             self._chunk = chunk
             self._chunk_len = len(chunk)
             pos = 0
-        compute, op, addr = self._chunk[pos]
+        record = self._chunk[pos]
+        compute, op, addr = (
+            unpack_record(record) if type(record) is int else record
+        )
         self._chunk_pos = pos + 1
         self.time += compute
         self.instructions += compute
@@ -234,6 +249,15 @@ class Core:
             self._pending_op = op
             self._pending_addr = addr
         return True
+
+    def unpack_chunks(self) -> None:
+        """Switch a core fed packed chunks (``batch_stream``) to the
+        record tuples :meth:`step` reads: the current chunk once, and
+        every later chunk as it is fetched.  A no-op for other cores.
+        """
+        if type(self._chunk) is array:
+            self._chunk = unpack_records(self._chunk)
+            self._batches = map(unpack_records, self._batches)
 
     def execute_pending(self) -> None:
         """Perform the memory operation scheduled by :meth:`advance`."""

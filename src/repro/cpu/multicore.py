@@ -15,7 +15,7 @@ per memory op.  Everything else — the ``python``/``specialized``
 engines, generator-fed cores (attackers, ``run_defended_workloads``),
 a core throttled mid-run, hierarchies the C walk refuses — runs the
 Python heap loop below, which also takes over whatever the C loop
-hands back.
+hands back (packed chunks unpacked first: the loop reads tuples).
 """
 
 from __future__ import annotations
@@ -129,6 +129,8 @@ class MulticoreSystem:
                     )
                 ]
                 heapq.heapify(heap)
+            for key in heap:
+                cores[key & 255].unpack_chunks()
             while heap:
                 key = heap[0]
                 cid = key & 255

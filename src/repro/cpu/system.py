@@ -13,8 +13,10 @@ streams are identical either way, so results are bit-identical —
 ``REPRO_BATCH=0`` (or ``batch=False``) forces the generator path,
 which the golden-equivalence tests compare against.  Under the C
 cache walk a system of batch-fed cores is interleaved by the C
-scheduler (see :mod:`repro.cpu.multicore`); generator-fed cores keep
-the Python loop.
+scheduler (see :mod:`repro.cpu.multicore`) and fed packed chunks
+from ``batch_stream`` (C-emitted for the synthetic archetypes);
+otherwise they take ``record_chunks`` tuples.  Generator-fed cores
+keep the Python loop.
 
 Engine binding happens here implicitly: both assembly helpers attach
 the monitor *before* constructing cores, and each core resolves its
@@ -81,18 +83,19 @@ def build_system(
         )
         monitor.attach(hierarchy)
     use_batches = batch_enabled(batch)
+    # Resolve the engine before binding streams: the C scheduler reads
+    # packed chunks, so under the C walk batch-fed cores take them
+    # straight from ``batch_stream`` (emitted in C for the synthetic
+    # archetypes); the Python loop reads ``record_chunks`` tuples.
+    hierarchy.engine_access()
+    packed = hierarchy._c_state is not None
     cores = []
     for core_id, workload in enumerate(workloads):
         workload_seed = derive_seed(seed, "workload", core_id)
         if use_batches and workload.batchable:
-            cores.append(
-                Core(
-                    core_id,
-                    None,
-                    hierarchy,
-                    batches=workload.record_chunks(core_id, workload_seed),
-                )
-            )
+            emit = workload.batch_stream if packed else workload.record_chunks
+            batches = emit(core_id, workload_seed)
+            cores.append(Core(core_id, None, hierarchy, batches=batches))
         else:
             cores.append(
                 Core(

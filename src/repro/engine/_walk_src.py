@@ -27,10 +27,13 @@ for ``_memory_versions``.  Monitor side effects that live in Python
 come back through ``extern "Python"`` callbacks.
 
 ``cw_run`` is the multicore scheduler loop of
-``MulticoreSystem.run`` over record chunks: it interleaves the cores
-in (time, core id) order and calls ``cw_access`` directly, returning
-to Python only for a new chunk, a due event, or after a callback (see
-``CWalkState.run_cores`` in :mod:`repro.engine.c_cache`).
+``MulticoreSystem.run`` over packed record chunks: it interleaves the
+cores in (time, core id) order and calls ``cw_access`` directly,
+returning to Python only for a new chunk, a due event, or after a
+callback (see ``CWalkState.run_cores`` in :mod:`repro.engine.c_cache`).
+``cw_emit_fill`` fills those chunks for the synthetic workloads, in
+exact ``random.Random`` lockstep with their Python emitter (see
+:mod:`repro.engine.c_emit`).
 
 Error protocol: walk entry points return a negative latency (or the
 prefetch helper -1) after setting ``err``/``err_addr``/``err_cache``
@@ -43,6 +46,40 @@ violations, or a stored callback exception).
 #   l1d[0..C) | l1i[C..2C) | l2[2C..3C) | llc slices[3C..3C+S)
 # Entry addressing within one cw_cache: slot = (line & set_mask)*ways + way,
 # with CW_EMPTY (all-ones) tagging a free way.
+
+#: The synthetic emitter's state (``cw_emit_fill``), declared once for
+#: both the cdef and the source.
+_EMIT_STRUCT = """
+typedef struct {
+    cw_mt rng;
+    int picker;
+    int64_t gap_base;
+    double gap_frac;
+    double ifetch_limit;
+    double conflict_limit;
+    double write_fraction;
+    double hot_probability;
+    uint32_t num_lines;
+    uint32_t hot_lines;
+    int64_t side;
+    uint64_t data_base;
+    uint64_t code_base;
+    uint64_t code_lines;
+    uint64_t conflict_base;
+    uint64_t conflict_stride;
+    uint64_t conflict_lines;
+    uint64_t visits_per_line;
+    const uint32_t *chain;
+    uint64_t code_line;
+    uint64_t conflict_index;
+    uint64_t visits_left;
+    int64_t current_line;
+    uint64_t position;
+    int64_t si;
+    int64_t sj;
+    int64_t sk;
+} cw_emit;
+"""
 
 WALK_CDEF = """
 typedef struct {
@@ -84,7 +121,6 @@ typedef struct {
     int llc_touch;
     int llc_victim_rand;
     int pool_size;
-    int rbits;
     cw_mt *rng;
     uint64_t write_counter;
     int64_t channel_free_at;
@@ -156,6 +192,10 @@ int cw_map_put(cw_hier *h, uint64_t key, uint64_t val);
 void cw_map_items(cw_hier *h, uint64_t *keys_out, uint64_t *vals_out);
 void cw_hier_free(cw_hier *h);
 
+""" + _EMIT_STRUCT + """
+int cw_emit_chain(cw_mt *r, uint32_t *chain, uint32_t n);
+void cw_emit_fill(cw_emit *e, int64_t *out, int64_t n);
+
 extern "Python" int cw_cb_access(void *ctx, uint64_t line_addr, int64_t now);
 extern "Python" int cw_cb_capture(void *ctx, uint64_t line_addr, int64_t now);
 extern "Python" int cw_cb_evict(void *ctx, uint64_t vaddr, uint64_t vword,
@@ -217,7 +257,6 @@ typedef struct {
     int llc_touch;
     int llc_victim_rand;
     int pool_size;
-    int rbits;
     cw_mt *rng;
     uint64_t write_counter;
     int64_t channel_free_at;
@@ -426,6 +465,26 @@ static uint32_t cw_genrand(cw_mt *r)
     return y;
 }
 
+/* Random._randbelow_with_getrandbits(n) for 1 <= n < 2**32: draw
+ * getrandbits(n.bit_length()), redraw while >= n. */
+static uint32_t cw_randbelow(cw_mt *r, uint32_t n)
+{
+    uint32_t shift = 32, v;
+    for (v = n; v; v >>= 1)
+        shift--;
+    v = cw_genrand(r) >> shift;
+    while (v >= n)
+        v = cw_genrand(r) >> shift;
+    return v;
+}
+
+/* Random.random() (CPython's genrand_res53). */
+static double cw_random(cw_mt *r)
+{
+    uint32_t a = cw_genrand(r) >> 5, b = cw_genrand(r) >> 6;
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+}
+
 /* ------------------------------------------------------------------ */
 /* Cache-array primitives. */
 
@@ -532,9 +591,6 @@ static uint64_t cw_llc_victim(cw_hier *h, cw_cache *sl, int si, uint64_t set)
         uint64_t pool_addr[64];
         uint64_t used = 0;
         int p, n = h->pool_size;
-        uint32_t shift = 32 - (uint32_t)h->rbits;
-        uint32_t v;
-        cw_mt *r = &h->rng[si];
         for (p = 0; p < n; p++) {
             int bi = -1;
             uint64_t bs = 0;
@@ -549,10 +605,7 @@ static uint64_t cw_llc_victim(cw_hier *h, cw_cache *sl, int si, uint64_t set)
             pool_addr[p] = tags[bi];
             used |= 1ULL << bi;
         }
-        v = cw_genrand(r) >> shift;
-        while (v >= (uint32_t)n)
-            v = cw_genrand(r) >> shift;
-        return pool_addr[v];
+        return pool_addr[cw_randbelow(&h->rng[si], (uint32_t)n)];
     }
 }
 
@@ -1203,13 +1256,22 @@ int64_t cw_access_many(cw_hier *h, const int32_t *cores, const int32_t *ops,
 }
 
 /* ------------------------------------------------------------------ */
+/* Packed workload records (workloads/base.py): op + 1 in bits 0-3
+ * (0 = pure compute), the compute gap in bits 4-17, the line address
+ * from bit 18. */
+#define CW_REC_OP_MASK       0xFULL
+#define CW_REC_COMPUTE_SHIFT 4
+#define CW_REC_COMPUTE_MAX   0x3FFFULL
+#define CW_REC_ADDR_SHIFT    18
+
+/* ------------------------------------------------------------------ */
 /* Multicore scheduler over record chunks (MulticoreSystem.run's loop).
  *
  * Each step picks the active core with the smallest (time, index) —
  * the Python heap's order — executes its pending op through
- * cw_access, applies the instruction budget, and pops the core's next
- * (compute, op, addr) record (op < 0: pure compute).  Control returns
- * to Python whenever Python has work to do: */
+ * cw_access, applies the instruction budget, and pops and decodes the
+ * core's next packed record.  Control returns to Python whenever
+ * Python has work to do: */
 #define CW_RUN_DONE     0  /* every core finished */
 #define CW_RUN_CHUNK    1  /* core *which needs its next record chunk */
 #define CW_RUN_EVENT    2  /* core *which's op would reach event_time */
@@ -1222,7 +1284,6 @@ int cw_run(cw_hier *h, cw_core *cores, int n, int64_t budget,
     h->cb_fired = 0;
     for (;;) {
         cw_core *c = NULL;
-        const int64_t *rec;
         int i, best = -1;
         for (i = 0; i < n; i++) {
             if (cores[i].active && (c == NULL || cores[i].time < c->time)) {
@@ -1251,18 +1312,143 @@ int cw_run(cw_hier *h, cw_core *cores, int n, int64_t budget,
         } else if (c->pos >= c->n) {
             return CW_RUN_CHUNK;
         } else {
-            rec = c->recs + 3 * c->pos++;
-            c->time += rec[0];
-            c->instructions += rec[0];
-            if (rec[1] < 0) {
+            uint64_t rec = (uint64_t)c->recs[c->pos++];
+            int64_t compute = (int64_t)((rec >> CW_REC_COMPUTE_SHIFT)
+                                        & CW_REC_COMPUTE_MAX);
+            c->time += compute;
+            c->instructions += compute;
+            if ((rec & CW_REC_OP_MASK) == 0) {
                 c->last_latency = 0;
             } else {
-                c->pending_op = (int32_t)rec[1];
-                c->pending_addr = rec[2];
+                c->pending_op = (int32_t)(rec & CW_REC_OP_MASK) - 1;
+                c->pending_addr = (int64_t)((rec >> CW_REC_ADDR_SHIFT) << 6);
             }
         }
         if (h->cb_fired)
             return CW_RUN_CALLBACK;
     }
+}
+
+/* ------------------------------------------------------------------ */
+/* Synthetic workload emission: _SyntheticWorkload.record_chunks and
+ * its five line pickers (workloads/synthetic.py) in exact
+ * random.Random lockstep — the same draws in the same order, the same
+ * records, written packed.  Python seeds the streams (rng from
+ * Random.getstate()) and computes every float threshold and the
+ * stencil side, so C compares identical doubles; record_chunks stays
+ * the reference.  data_base and code_base are line addresses; the
+ * picked lines and conflict_base are line offsets from data_base;
+ * current_line -1 means no line yet; position is the stream picker's
+ * last line or the pointer chase's current line. */
+#define CW_PICK_STREAM  0
+#define CW_PICK_RANDOM  1
+#define CW_PICK_POINTER 2
+#define CW_PICK_STENCIL 3
+#define CW_PICK_HOTCOLD 4
+
+/* Hierarchy opcodes (cache/hierarchy.py). */
+#define CW_OP_READ   0
+#define CW_OP_WRITE  1
+#define CW_OP_IFETCH 2
+
+""" + _EMIT_STRUCT + """
+/* The pointer chase's Hamiltonian cycle: Random.shuffle of
+ * range(n), then each line links to its successor in that order. */
+int cw_emit_chain(cw_mt *r, uint32_t *chain, uint32_t n)
+{
+    uint32_t i, t, *order = malloc((size_t)n * sizeof *order);
+    if (order == NULL)
+        return -1;
+    for (i = 0; i < n; i++)
+        order[i] = i;
+    for (i = n - 1; i >= 1; i--) {
+        uint32_t j = cw_randbelow(r, i + 1);
+        t = order[i];
+        order[i] = order[j];
+        order[j] = t;
+    }
+    for (i = 0; i + 1 < n; i++)
+        chain[order[i]] = order[i + 1];
+    chain[order[n - 1]] = order[0];
+    free(order);
+    return 0;
+}
+
+static uint64_t cw_next_line(cw_emit *e)
+{
+    static const int64_t di[5] = {0, -1, 1, 0, 0};
+    static const int64_t dj[5] = {0, 0, 0, -1, 1};
+    int64_t k, side;
+    switch (e->picker) {
+    case CW_PICK_STREAM:
+        if (++e->position == e->num_lines)
+            e->position = 0;
+        return e->position;
+    case CW_PICK_RANDOM:
+        return cw_randbelow(&e->rng, e->num_lines);
+    case CW_PICK_POINTER:
+        return e->position = e->chain[e->position];
+    case CW_PICK_STENCIL:
+        /* The offset is read before the sweep advances, the
+         * coordinates after (as in the Python picker). */
+        k = e->sk;
+        side = e->side;
+        if (++e->sk == 5) {
+            e->sk = 0;
+            if (++e->sj >= side) {
+                e->sj = 0;
+                e->si = (e->si + 1) % side;
+            }
+        }
+        return (uint64_t)(((e->si + side + di[k]) % side) * side
+                          + (e->sj + side + dj[k]) % side);
+    default:  /* CW_PICK_HOTCOLD */
+        if (cw_random(&e->rng) < e->hot_probability)
+            return cw_randbelow(&e->rng, e->hot_lines);
+        return cw_randbelow(&e->rng, e->num_lines);
+    }
+}
+
+void cw_emit_fill(cw_emit *e, int64_t *out, int64_t n)
+{
+    /* A local copy keeps the loop's state out of out[]'s alias set. */
+    cw_emit s = *e;
+    int64_t i;
+    for (i = 0; i < n; i++) {
+        uint64_t gap = (uint64_t)s.gap_base
+            + (cw_random(&s.rng) < s.gap_frac ? 1 : 0);
+        double roll = cw_random(&s.rng);
+        uint64_t line;
+        int op;
+        if (roll >= s.conflict_limit) {
+            if (s.visits_left > 0 && s.current_line >= 0) {
+                s.visits_left--;
+                line = (uint64_t)s.current_line;
+            } else {
+                line = cw_next_line(&s);
+                s.current_line = (int64_t)line;
+                s.visits_left = s.visits_per_line;
+            }
+            op = cw_random(&s.rng) < s.write_fraction
+                ? CW_OP_WRITE : CW_OP_READ;
+            line += s.data_base;
+        } else if (roll < s.ifetch_limit) {
+            if (++s.code_line == s.code_lines)
+                s.code_line = 0;
+            op = CW_OP_IFETCH;
+            line = s.code_base + s.code_line;
+        } else {
+            if (++s.conflict_index == s.conflict_lines)
+                s.conflict_index = 0;
+            line = s.data_base + s.conflict_base
+                + s.conflict_index * s.conflict_stride;
+            op = cw_random(&s.rng) < s.write_fraction
+                ? CW_OP_WRITE : CW_OP_READ;
+        }
+        out[i] = (int64_t)((line << CW_REC_ADDR_SHIFT)
+                           | (gap << CW_REC_COMPUTE_SHIFT)
+                           | (uint64_t)(op + 1));
+    }
+    *e = s;
 }
 """

@@ -54,9 +54,12 @@ Scheduler
 :meth:`CWalkState.run_cores` runs ``MulticoreSystem.run``'s
 min-(time, core id) interleave itself in C (``cw_run``) when every
 live core is fed by record chunks and bound, unthrottled, to this
-walk's kernel (:meth:`CWalkState.can_schedule`).  Each chunk of
-record tuples becomes one ``array('q')`` of (compute, op, addr)
-triples (op -1 for a pure-compute record) in a single C-level pass.
+walk's kernel (:meth:`CWalkState.can_schedule`).  ``cw_run`` reads
+one record format, the packed ``array('q')`` of
+:mod:`repro.workloads.base`: the chunks ``batch_stream`` yields
+(C-emitted by :mod:`repro.engine.c_emit` for the synthetic
+archetypes) are read in place, and only tuple chunks (scripted and
+test streams) are packed here, by :func:`_record_array`.
 Control comes back to Python when a core's chunk runs out, when the
 next op would reach the earliest pending event, and after any walk
 callback (it may have scheduled an event); every core's state is
@@ -68,7 +71,6 @@ from __future__ import annotations
 
 import weakref
 from array import array
-from itertools import chain
 
 from repro.cache.coherence import CoherenceViolation
 from repro.cache.line import CacheLine
@@ -78,6 +80,7 @@ from repro.engine.specialize import _supported, filter_supported
 from repro.memory.controller import MemoryController
 from repro.memory.dram import DramModel
 from repro.obs.telemetry import current_telemetry
+from repro.workloads.base import pack_records
 
 #: Aggregate counters the C walk exports to an attached telemetry sink
 #: — read off the ``cw_hier`` struct as deltas in **one** boundary
@@ -102,21 +105,14 @@ _RUN_DONE, _RUN_CHUNK, _RUN_EVENT = 0, 1, 2
 
 
 def _record_array(chunk):
-    """A chunk of ``(compute, op, addr)`` tuples as one flat
-    ``array('q')``, op None as -1; None when a record does not fit
-    (the core then stays on the Python loop, which handles or raises
-    on it exactly as before)."""
-    # Materialising the flat list first lets array() size itself once
-    # (measured ~1.5x faster than feeding it the chain iterator).
-    fields = list(chain.from_iterable(chunk))
-    if len(fields) != 3 * len(chunk):
-        return None
+    """A chunk of ``(compute, op, addr)`` tuples (scripted and test
+    streams) as the packed ``array('q')`` ``cw_run`` reads; None when
+    a record does not fit the packed layout (the core then stays on
+    the Python loop, which handles or raises on it exactly as
+    before)."""
     try:
-        try:
-            return array("q", fields)
-        except TypeError:
-            return array("q", [-1 if f is None else f for f in fields])
-    except (TypeError, OverflowError):
+        return pack_records(chunk)
+    except (TypeError, ValueError, OverflowError):
         return None
 
 
@@ -334,13 +330,11 @@ class CWalkState:
         if slref._victim_is_min_stamp:
             st.llc_victim_rand = 0
             st.pool_size = 0
-            st.rbits = 0
             st.rng = ffi.NULL
         else:
             pool = slref.policy.pool_size
             st.llc_victim_rand = 1
             st.pool_size = pool
-            st.rbits = pool.bit_length()
             rng = ffi.new("cw_mt[]", S)
             bufs.append(rng)
             for i, sl in enumerate(slices):
@@ -529,7 +523,9 @@ class CWalkState:
                     slot.active = 0
                     continue
                 if views[i] is None:
-                    records = _record_array(core._chunk)
+                    records = core._chunk
+                    if type(records) is not array:
+                        records = _record_array(records)
                     if records is None:
                         return [c for c in cores if not c.finished]
                     views[i] = slot.recs = ffi.from_buffer(

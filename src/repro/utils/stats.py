@@ -182,6 +182,9 @@ class QuantileSketch:
     __slots__ = ("lo", "hi", "bins", "count", "underflow", "_counts",
                  "_log_lo", "_log_gamma")
 
+    # Absolute slack on relative_error for floating-point rounding.
+    _ROUNDING = 1e-12
+
     def __init__(self, lo: float = 1.0, hi: float = 1e9, bins: int = 384):
         if not (0 < lo < hi):
             raise ValueError(f"need 0 < lo < hi, got lo={lo}, hi={hi}")
@@ -199,8 +202,14 @@ class QuantileSketch:
     @property
     def relative_error(self) -> float:
         """Worst-case relative error of a quantile estimate for
-        samples inside ``(lo, hi)``."""
-        return math.exp(self._log_gamma / 2) - 1
+        samples inside ``(lo, hi)``.
+
+        ``sqrt(gamma) - 1`` is reached exactly by a sample on a
+        bucket's lower edge, so the bound is tight; the log/exp bucket
+        arithmetic can overshoot it by a few ulps there.  The
+        ``_ROUNDING`` allowance covers that for any ``lo``/``hi`` a
+        float can hold (``|log| < 710``)."""
+        return math.expm1(self._log_gamma / 2) + self._ROUNDING
 
     def add(self, value: float) -> None:
         """Fold one sample into the sketch."""

@@ -16,6 +16,15 @@ The packed stream is **record-for-record identical** to the generator
 (trace replay, warmups) and the per-core chunked prefetch in
 :class:`repro.cpu.core.Core` produce bit-identical simulations.
 
+Packed chunks are the one record format of the C scheduler
+(``cw_run`` decodes them as they are): under the C cache walk,
+:func:`repro.cpu.system.build_system` feeds batch cores from
+``batch_stream``, which the synthetic archetypes emit in C.  The
+Python scheduler loop reads ``record_chunks`` tuples; a packed chunk
+that reaches it is unpacked once (:func:`unpack_records`).  A
+pure-compute record packs with op field 0, which decodes to op -1,
+the C scheduler's "no memory op".
+
 Packed record layout (one signed 64-bit int)::
 
     bits 0-3    op + 1 (0 = pure-compute record, no memory op)
@@ -82,8 +91,12 @@ def pack_record(compute: int, op: int | None, byte_address: int) -> int:
         raise ValueError(f"compute gap {compute} exceeds the packed field")
     if op is None:
         return compute << REC_COMPUTE_SHIFT
-    if byte_address % 64:
-        raise ValueError("packed records require line-aligned addresses")
+    if not 0 <= op <= 14:
+        raise ValueError(f"op {op} does not fit the packed field")
+    if byte_address < 0 or byte_address % 64:
+        raise ValueError(
+            "packed records require non-negative line-aligned addresses"
+        )
     return (
         ((byte_address >> 6) << REC_ADDR_SHIFT)
         | (compute << REC_COMPUTE_SHIFT)
@@ -99,6 +112,19 @@ def unpack_record(record: int) -> tuple[int, int | None, int]:
         None if op == 0 else op - 1,
         (record >> REC_ADDR_SHIFT) << 6,
     )
+
+
+def pack_records(records: Iterable[tuple[int, int | None, int]]) -> array:
+    """A record-tuple chunk as one packed ``array('q')`` chunk."""
+    return array("q", [pack_record(*record) for record in records])
+
+
+def unpack_records(
+    records: Iterable[int],
+) -> list[tuple[int, int | None, int]]:
+    """A packed chunk as the record-tuple chunk the Python scheduler
+    loop reads."""
+    return [unpack_record(record) for record in records]
 
 
 def packable(records: Iterable[tuple[int, int | None, int]]) -> bool:
@@ -159,11 +185,11 @@ class Workload(ABC):
 
         The concatenated stream is identical to :meth:`generator`'s
         output for the same ``(core_id, seed)``.  This is the form the
-        scheduler's chunked per-core prefetch consumes — measured
-        faster than both the generator protocol (no frame resume per
-        record) and packed ints (no re-boxing per record).  The packed
-        :meth:`batch_stream`/:meth:`emit_batch` forms layer on top of
-        it for bulk, memory-compact consumers.
+        Python scheduler loop's chunked per-core prefetch consumes —
+        measured faster there than both the generator protocol (no
+        frame resume per record) and packed ints (no re-boxing per
+        record).  The packed :meth:`batch_stream`/:meth:`emit_batch`
+        forms, which the C scheduler reads, pack it by default.
 
         This default materialises from the generator (correct for any
         ``batchable`` workload, no speedup); stream-native workloads
@@ -199,13 +225,12 @@ class Workload(ABC):
         self, core_id: int, seed: int, chunk: int = DEFAULT_BATCH_CHUNK
     ) -> Iterator[array]:
         """Yield ``array('q')`` chunks of packed records (the compact
-        bulk form of :meth:`record_chunks`; same stream)."""
+        bulk form of :meth:`record_chunks`; same stream).
+
+        This default packs :meth:`record_chunks` in Python; the
+        synthetic archetypes override it with C emission."""
         for records in self.record_chunks(core_id, seed, chunk):
-            yield array(
-                "q",
-                (pack_record(compute, op, addr)
-                 for compute, op, addr in records),
-            )
+            yield pack_records(records)
 
     def emit_batch(self, core_id: int, seed: int, n: int) -> array:
         """The first ``n`` packed records of this workload's stream.

@@ -20,17 +20,27 @@ memory operations average the profile's ``mem_fraction``.
 
 Each archetype contributes only a *line picker*
 (:meth:`_SyntheticWorkload._line_picker`); the shared emission loop
-exists in two forms with identical record streams: the generator
-(:meth:`_emit`, one suspension per record, for feedback-driven
-consumers) and the chunked batch producer (:meth:`record_chunks`, one
-record-list chunk per suspension, for the scheduler prefetch and —
-packed through the base class's ``batch_stream``/``emit_batch`` — for
-bulk replay).  The equivalence tests pin the streams
-record-for-record.
+exists in three forms with identical record streams:
+
+* the generator (:meth:`_emit`, one suspension per record, for
+  feedback-driven consumers);
+* the chunked batch producer (:meth:`record_chunks`, one record-tuple
+  chunk per suspension, for the Python scheduler loop) — the
+  reference emitter;
+* the packed producer (:meth:`batch_stream`), which under the ``c``
+  engine runs the loop and all five pickers in C
+  (:mod:`repro.engine.c_emit`), in exact ``random.Random`` lockstep
+  with :meth:`record_chunks`, for the C scheduler and bulk replay.
+
+The equivalence tests (``tests/test_packed_and_batching.py``,
+``tests/test_c_emit.py``) pin the streams record-for-record.
 """
 
 from __future__ import annotations
 
+import math
+import random
+from array import array
 from collections.abc import Callable, Iterator
 
 from repro.cache.hierarchy import OP_IFETCH, OP_READ, OP_WRITE
@@ -127,8 +137,33 @@ class _SyntheticWorkload(Workload):
         (stateful; one per stream)."""
         raise NotImplementedError
 
+    def _loop_constants(self) -> tuple[int, float, float, float, int]:
+        """The emission loop's invariants: ``(gap_base, gap_frac,
+        ifetch_limit, conflict_limit, conflict_base)``.
+
+        The compute gap dithers between ``gap_base`` and ``gap_base +
+        1`` with one ``rng.random()`` draw against ``gap_frac`` (the
+        expression of :func:`~repro.workloads.base.compute_gap`); a
+        second draw, the roll, picks the ifetch (below
+        ``ifetch_limit``), conflict (below ``conflict_limit``) or data
+        component.  Conflict lines live just above the main working
+        set (from line ``conflict_base``), strided one LLC set apart so
+        they are mutually congruent.  Shared by both Python forms and
+        the C emitter, so every form compares identical doubles.
+        """
+        gap_target = 1.0 / self.mem_fraction - 1.0
+        gap_base = int(gap_target)
+        ifetch_limit = self.ifetch_fraction
+        return (
+            gap_base,
+            gap_target - gap_base,
+            ifetch_limit,
+            ifetch_limit + self.conflict_fraction,
+            self.num_lines + self.conflict_stride,
+        )
+
     # ------------------------------------------------------------------
-    # The two emission forms (identical record streams)
+    # The emission forms (identical record streams)
     # ------------------------------------------------------------------
 
     def generator(self, core_id: int, seed: int) -> WorkloadGenerator:
@@ -140,24 +175,16 @@ class _SyntheticWorkload(Workload):
         rng = derive_rng(seed, self.name, core_id)
         data_base = core_data_base(core_id)
         code_base = core_code_base(core_id)
-        # Conflict lines live just above the main working set, strided
-        # one LLC set apart so they are mutually congruent.
-        conflict_base = self.num_lines + self.conflict_stride
+        gap_base, gap_frac, ifetch_limit, conflict_limit, conflict_base = (
+            self._loop_constants()
+        )
         conflict_index = 0
         code_line = 0
-        ifetch_limit = self.ifetch_fraction
-        conflict_limit = ifetch_limit + self.conflict_fraction
         current_line = None
         line_visits_left = 0
         # One record per retired memory operation: everything invariant
-        # is hoisted out of the loop, including the compute-gap
-        # dithering arithmetic (inlined from ``compute_gap`` — same
-        # expression, same single ``rng.random()`` draw, so generated
-        # streams are unchanged).
+        # is hoisted out of the loop.
         rng_random = rng.random
-        gap_target = 1.0 / self.mem_fraction - 1.0
-        gap_base = int(gap_target)
-        gap_frac = gap_target - gap_base
         write_fraction = self.write_fraction
         code_lines = self.code_lines
         conflict_lines = self.conflict_lines
@@ -211,17 +238,14 @@ class _SyntheticWorkload(Workload):
         rng = derive_rng(seed, self.name, core_id)
         data_base = core_data_base(core_id)
         code_base = core_code_base(core_id)
-        conflict_base = self.num_lines + self.conflict_stride
+        gap_base, gap_frac, ifetch_limit, conflict_limit, conflict_base = (
+            self._loop_constants()
+        )
         conflict_index = 0
         code_line = 0
-        ifetch_limit = self.ifetch_fraction
-        conflict_limit = ifetch_limit + self.conflict_fraction
         current_line = None
         line_visits_left = 0
         rng_random = rng.random
-        gap_target = 1.0 / self.mem_fraction - 1.0
-        gap_base = int(gap_target)
-        gap_frac = gap_target - gap_base
         write_fraction = self.write_fraction
         code_lines = self.code_lines
         conflict_lines = self.conflict_lines
@@ -261,6 +285,21 @@ class _SyntheticWorkload(Workload):
                 count += 1
             yield out
 
+    def batch_stream(
+        self, core_id: int, seed: int, chunk: int = DEFAULT_BATCH_CHUNK
+    ) -> Iterator[array]:
+        """Packed chunks of the :meth:`record_chunks` stream, emitted in
+        C under the ``c`` engine (:mod:`repro.engine.c_emit`, in exact
+        ``random.Random`` lockstep); otherwise, or for a line picker
+        with no C port, packed from :meth:`record_chunks` by the base
+        class."""
+        from repro.engine.c_emit import c_batch_stream
+
+        stream = c_batch_stream(self, core_id, seed, chunk)
+        if stream is None:
+            stream = super().batch_stream(core_id, seed, chunk)
+        yield from stream
+
 
 class StreamWorkload(_SyntheticWorkload):
     """Repeated sequential sweeps over the working set."""
@@ -299,8 +338,13 @@ class PointerChaseWorkload(_SyntheticWorkload):
 
     name = "pointer"
 
+    def permutation_rng(self, core_id: int, seed: int) -> random.Random:
+        """The RNG that lays out the chase: a stream of its own,
+        separate from the access stream's."""
+        return derive_rng(seed, "pointer-permutation", core_id)
+
     def _line_picker(self, core_id: int, seed: int) -> Callable:
-        rng = derive_rng(seed, "pointer-permutation", core_id)
+        rng = self.permutation_rng(core_id, seed)
         # A single Hamiltonian cycle over the working set (not a plain
         # shuffled permutation, whose cycle through the start line has
         # wildly seed-dependent length — a short cycle would turn the
@@ -326,8 +370,13 @@ class StencilWorkload(_SyntheticWorkload):
 
     name = "stencil"
 
+    @property
+    def side(self) -> int:
+        """Grid side: the largest square that fits the working set."""
+        return math.isqrt(self.num_lines)
+
     def _line_picker(self, core_id: int, seed: int) -> Callable:
-        side = max(2, int(self.num_lines ** 0.5))
+        side = self.side
         offsets = ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1))
         state = {"i": 0, "j": 0, "k": 0}
 

@@ -134,8 +134,9 @@ def benign(defence: str):
 
 def benign_batch(defence: str):
     """The same mix on the Fig. 8 assembly path: ``run_workloads``
-    with batch-fed cores (``record_chunks``), the path the C engine's
-    multicore scheduler takes over — so this pair is its golden gate.
+    with batch-fed cores (``record_chunks``, or under the C walk the
+    C-emitted ``batch_stream``), the path the C engine's multicore
+    scheduler takes over — so this pair is its golden gate.
     ``defence`` is ``none`` (the baseline) or ``pipo`` (the monitor
     ``SystemConfig.monitor_enabled`` deploys)."""
     config = scaled_system_config(False, monitor_enabled=(defence == "pipo"))

@@ -245,6 +245,7 @@ print("COMPUTED", r.data["stream"]["computed"])
     proc = subprocess.Popen(
         [sys.executable, "-c", script], env=env,
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        start_new_session=True,
     )
     # Kill hard as soon as the first tenants have checkpointed.
     shard = None
@@ -256,7 +257,9 @@ print("COMPUTED", r.data["stream"]["computed"])
              if p.stat().st_size > 0),
             None,
         )
-    os.kill(proc.pid, signal.SIGKILL)
+    # The whole process group: the pool workers die with their parent
+    # instead of running on as orphans.
+    os.killpg(proc.pid, signal.SIGKILL)
     proc.wait(timeout=10)
     assert shard is not None, "no tenants checkpointed before the kill"
 

@@ -376,6 +376,7 @@ print("MATCH" if out == expected else "MISMATCH", len(out))
     proc = subprocess.Popen(
         [sys.executable, "-c", script],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        start_new_session=True,
     )
     # Let a few 200ms cells checkpoint, then kill hard mid-grid.
     shard = None
@@ -387,7 +388,9 @@ print("MATCH" if out == expected else "MISMATCH", len(out))
              if p.stat().st_size > 0),
             None,
         )
-    os.kill(proc.pid, signal.SIGKILL)
+    # The whole process group: the pool workers die with their parent
+    # instead of running on as orphans.
+    os.killpg(proc.pid, signal.SIGKILL)
     proc.wait(timeout=10)
     assert shard is not None, "no checkpoint lines before the kill"
     before = sum(1 for line in shard.read_text().splitlines() if line)

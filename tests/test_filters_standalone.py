@@ -248,6 +248,55 @@ class TestSerialization:
         with pytest.raises(ValueError):
             AutoCuckooFilter.from_bytes(bytes(blob))
 
+    @given(data=st.data(), seed=seeds,
+           inserted=st.lists(keys, max_size=60),
+           fingerprint_bits=st.sampled_from([4, 8, 16, 17]),
+           probes=st.lists(keys, min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_from_bytes_fuzz(self, data, seed, inserted, fingerprint_bits,
+                             probes):
+        """Mutated, truncated and extended blobs: ``from_bytes`` either
+        refuses with ValueError or yields a filter that serializes
+        canonically and behaves identically — queries, then inserts
+        with their kick walks — under the reference loops and the C
+        batch kernels."""
+        flt = _small(seed, fingerprint_bits)
+        flt.insert_many(inserted)
+        blob = bytearray(flt.to_bytes())
+        # Half the byte mutations hit the header fields past the
+        # geometry (max_kicks, secThr, seed, LCG, counters), which
+        # leave the length consistent; the rest land anywhere.
+        import struct
+
+        header = struct.calcsize("<4sHHIIIIIQQQQQQ")
+        positions = st.one_of(st.integers(20, header - 1),
+                              st.integers(0, len(blob) - 1))
+        for pos, value in data.draw(st.lists(
+                st.tuples(positions, st.integers(0, 255)), max_size=6)):
+            blob[pos] = value
+        resize = data.draw(st.sampled_from(["keep"] * 4 + ["cut", "grow"]))
+        if resize == "cut":
+            del blob[data.draw(st.integers(0, len(blob) - 1)):]
+        elif resize == "grow":
+            blob += data.draw(st.binary(min_size=1, max_size=3))
+        blob = bytes(blob)
+        try:
+            restored = AutoCuckooFilter.from_bytes(blob)
+        except ValueError:
+            return
+        # Canonical: everything but the (ignored) flags field survives.
+        assert restored.to_bytes() == blob[:6] + bytes(2) + blob[8:]
+        expected = (restored.query_many(probes),
+                    restored.insert_many(probes))
+        if "c" in available_engines():
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setenv("REPRO_ENGINE", "c")
+                twin = AutoCuckooFilter.from_bytes(blob)
+                batch = twin.engine_batch()
+                assert (batch.query_many(probes),
+                        batch.insert_many(probes)) == expected
+                assert twin.to_bytes() == restored.to_bytes()
+
     def test_instrumented_filters_refuse_serialization(self):
         flt = AutoCuckooFilter(
             num_buckets=SMALL_BUCKETS, entries_per_bucket=SMALL_ENTRIES,

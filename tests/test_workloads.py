@@ -74,16 +74,18 @@ class TestSyntheticGenerators:
         assert lines[64] == 0  # wrapped around the working set
 
     def test_addresses_within_working_set(self):
-        for workload in (
-            StreamWorkload(4096, ifetch_fraction=0.0),
-            RandomWorkload(4096, ifetch_fraction=0.0),
-            PointerChaseWorkload(4096, ifetch_fraction=0.0),
-            StencilWorkload(4096, ifetch_fraction=0.0),
-            HotColdWorkload(4096, ifetch_fraction=0.0),
-        ):
-            base = core_data_base(0)
-            for _, _, addr in take(workload, 300):
-                assert base <= addr < base + 4096
+        # 64-192 B: one to three lines, fewer than a 2x2 stencil grid.
+        base = core_data_base(0)
+        for size in (64, 128, 192, 4096):
+            for workload in (
+                StreamWorkload(size, ifetch_fraction=0.0),
+                RandomWorkload(size, ifetch_fraction=0.0),
+                PointerChaseWorkload(size, ifetch_fraction=0.0),
+                StencilWorkload(size, ifetch_fraction=0.0),
+                HotColdWorkload(size, ifetch_fraction=0.0),
+            ):
+                for _, _, addr in take(workload, 300):
+                    assert base <= addr < base + size
 
     def test_pointer_chase_covers_cycle(self):
         workload = PointerChaseWorkload(
