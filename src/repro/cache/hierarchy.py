@@ -1007,18 +1007,21 @@ class CacheHierarchy:
         """Flush engine-owned state back into the Python objects.
 
         A no-op for the pure-Python engines (the dicts *are* the
-        state).  Under the C cache walk this performs the batch sync:
-        every ``_map``/``_sets`` dict, the per-cache and AccessStats
-        counters, the monitor/filter counters, the memory-controller
-        channel state, and ``_memory_versions`` are refreshed from the
-        C arrays (in place — object identity is preserved for held
-        references).  Cheap when nothing ran since the last sync.
-        The C side stays authoritative afterwards; this is a read-only
-        snapshot refresh, never a hand-back.
+        state).  Under the C cache walk this performs the full sync:
+        the per-cache and AccessStats counters, the monitor/filter
+        counters, the memory-controller channel state, and the storage
+        mirror — every ``_map``/``_sets`` dict, ``_memory_versions``
+        and the ``lru_rand`` RNG states — are refreshed from the C
+        arrays (in place — object identity is preserved for held
+        references).  ``MulticoreSystem.run`` refreshes only the
+        counters; the mirror is rebuilt here, on first use.  Cheap
+        when nothing ran since the last sync.  The C side stays
+        authoritative afterwards; this is a read-only snapshot
+        refresh, never a hand-back.
         """
         cs = self._c_state
         if cs is not None:
-            cs.sync()
+            cs.sync_all()
 
     def read_version(self, core: int, addr: int) -> int:
         """The data version a read by ``core`` would observe, *without*

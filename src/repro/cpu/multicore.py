@@ -11,11 +11,13 @@ the C cache walk, when every live core is fed by record chunks and
 bound unthrottled to the walk's kernel, the loop runs in C
 (:meth:`repro.engine.c_cache.CWalkState.run_cores`): one boundary
 crossing per record chunk, due event or walk callback instead of one
-per memory op.  Everything else — the ``python``/``specialized``
-engines, generator-fed cores (attackers, ``run_defended_workloads``),
-a core throttled mid-run, hierarchies the C walk refuses — runs the
-Python heap loop below, which also takes over whatever the C loop
-hands back (packed chunks unpacked first: the loop reads tuples).
+per memory op.  That covers ``run_workloads`` systems and the
+all-benign systems of ``run_defended_workloads`` (campaign tenants).
+Everything else — the ``python``/``specialized`` engines, systems
+with a generator-fed core (attackers), a core throttled mid-run,
+hierarchies the C walk refuses — runs the Python heap loop below,
+which also takes over whatever the C loop hands back (packed chunks
+unpacked first: the loop reads tuples).
 """
 
 from __future__ import annotations
@@ -149,11 +151,16 @@ class MulticoreSystem:
         finally:
             if gc_was_enabled:
                 gc.enable()
-        # Under the C cache walk, the Python-side mirrors (cache dicts,
-        # AccessStats, monitor/filter counters, _memory_versions) are
-        # stale until a batch sync; resync here so the result below —
-        # and any post-run introspection — reads consistent state.
-        self.hierarchy.engine_sync()
+        # Under the C cache walk the Python-side counters (AccessStats,
+        # per-cache, memory-controller and monitor/filter counters) are
+        # stale until a sync; refresh them so the result below reads
+        # consistent state.  The storage mirror (cache tables,
+        # _memory_versions, LLC RNG states) waits for the first
+        # introspection call (``engine_sync``), which most runs never
+        # make.
+        c_walk = self.hierarchy._c_state
+        if c_walk is not None:
+            c_walk.sync()
         monitor = self.hierarchy.monitor
         result = SimulationResult(
             core_times=[completion[c.core_id] for c in self.cores],

@@ -5,6 +5,7 @@ experiments (Fig. 8, secThr sensitivity) are built on: it constructs the
 Table II hierarchy, optionally deploys PiPoMonitor, binds one workload
 per core, and runs to an instruction budget.
 
+Both assembly helpers bind cores through one rule (``_bind_cores``).
 Cores whose workload declares ``batchable`` (synthetic/SPEC streams,
 packable traces — anything that ignores latency feedback) are bound
 through the chunked batch prefetch (:class:`repro.cpu.core.Core`'s
@@ -12,11 +13,14 @@ through the chunked batch prefetch (:class:`repro.cpu.core.Core`'s
 streams are identical either way, so results are bit-identical —
 ``REPRO_BATCH=0`` (or ``batch=False``) forces the generator path,
 which the golden-equivalence tests compare against.  Under the C
-cache walk a system of batch-fed cores is interleaved by the C
-scheduler (see :mod:`repro.cpu.multicore`) and fed packed chunks
-from ``batch_stream`` (C-emitted for the synthetic archetypes);
-otherwise they take ``record_chunks`` tuples.  Generator-fed cores
-keep the Python loop.
+cache walk batch-fed cores take packed chunks from ``batch_stream``
+(C-emitted for the synthetic archetypes), and a system of them is
+interleaved by the C scheduler (see :mod:`repro.cpu.multicore`) —
+the benign tenants of ``run_defended_workloads`` included.  On the
+Python loop ``run_workloads`` feeds them ``record_chunks`` tuples,
+while ``run_defended_workloads`` keeps generators (tuple chunks
+there cost peak RSS and bought no speed).  Generator-fed cores
+(attackers) keep the Python loop.
 
 Engine binding happens here implicitly: both assembly helpers attach
 the monitor *before* constructing cores, and each core resolves its
@@ -52,6 +56,46 @@ def batch_enabled(batch: bool | None = None) -> bool:
     return os.environ.get("REPRO_BATCH", "") != "0"
 
 
+def _bind_cores(
+    hierarchy,
+    workloads: list[Workload],
+    seed: int,
+    seed_label: str = "workload",
+    batch: bool | None = None,
+    tuple_chunks: bool = True,
+) -> list[Core]:
+    """One core per workload, each bound to the stream its run reads.
+
+    Call after every monitor, alarm bus and telemetry sink is attached:
+    this resolves the engine first.  With batching on (``batch`` /
+    ``REPRO_BATCH``), a ``batchable`` workload under the C walk takes
+    packed chunks from ``batch_stream`` (emitted in C for the synthetic
+    archetypes), the C scheduler's one record format.  On the Python
+    loop it takes ``record_chunks`` tuples when ``tuple_chunks`` is
+    set, else a generator like every other workload.  The per-core
+    seed is ``derive_seed(seed, seed_label, core_id)``.
+    """
+    use_batches = batch_enabled(batch)
+    hierarchy.engine_access()
+    packed = hierarchy._c_state is not None
+    cores = []
+    for core_id, workload in enumerate(workloads):
+        workload_seed = derive_seed(seed, seed_label, core_id)
+        if use_batches and workload.batchable and (packed or tuple_chunks):
+            emit = workload.batch_stream if packed else workload.record_chunks
+            batches = emit(core_id, workload_seed)
+            cores.append(Core(core_id, None, hierarchy, batches=batches))
+        else:
+            cores.append(
+                Core(
+                    core_id,
+                    workload.generator(core_id, workload_seed),
+                    hierarchy,
+                )
+            )
+    return cores
+
+
 def build_system(
     config: SystemConfig,
     workloads: list[Workload],
@@ -82,28 +126,7 @@ def build_system(
             track_captured_lines=track_captured_lines,
         )
         monitor.attach(hierarchy)
-    use_batches = batch_enabled(batch)
-    # Resolve the engine before binding streams: the C scheduler reads
-    # packed chunks, so under the C walk batch-fed cores take them
-    # straight from ``batch_stream`` (emitted in C for the synthetic
-    # archetypes); the Python loop reads ``record_chunks`` tuples.
-    hierarchy.engine_access()
-    packed = hierarchy._c_state is not None
-    cores = []
-    for core_id, workload in enumerate(workloads):
-        workload_seed = derive_seed(seed, "workload", core_id)
-        if use_batches and workload.batchable:
-            emit = workload.batch_stream if packed else workload.record_chunks
-            batches = emit(core_id, workload_seed)
-            cores.append(Core(core_id, None, hierarchy, batches=batches))
-        else:
-            cores.append(
-                Core(
-                    core_id,
-                    workload.generator(core_id, workload_seed),
-                    hierarchy,
-                )
-            )
+    cores = _bind_cores(hierarchy, workloads, seed, batch=batch)
     return MulticoreSystem(hierarchy, cores, events), monitor
 
 
@@ -145,9 +168,12 @@ def run_defended_workloads(
     PiPoMonitor), ``pad_idle`` fills the remaining cores with idle
     workloads, and ``seed_label`` is the per-core seed-derivation
     namespace (kept caller-chosen so existing streams stay
-    bit-identical).  Cores consume generators directly — timing-
-    sensitive attackers cannot batch, and the fixed generator path
-    keeps conformance fixtures independent of ``REPRO_BATCH``.
+    bit-identical).  Cores are bound like :func:`build_system`'s
+    under the C walk — a batchable workload takes ``batch_stream``, so
+    an all-benign system runs on the C scheduler — while on the
+    Python loop every core consumes a generator.  Timing-sensitive
+    attackers never batch, and since every hand-off emits the same
+    records, conformance fixtures stay independent of ``REPRO_BATCH``.
 
     ``detection`` (a :class:`repro.detection.DetectionSpec`) deploys
     the online detection-and-response subsystem: the defence's alarm
@@ -185,11 +211,10 @@ def run_defended_workloads(
                     "(defence='none' has no monitor on the hierarchy)"
                 )
             bus = detection.attach_bus(monitor)
-        cores = [
-            Core(core_id, wl.generator(core_id, derive_seed(seed, seed_label, core_id)),
-                 hierarchy)
-            for core_id, wl in enumerate(workloads)
-        ]
+        # Generators on the Python loop: tuple chunks there bought no
+        # speed and raised peak RSS (PERFORMANCE.md rule 19).
+        cores = _bind_cores(hierarchy, workloads, seed, seed_label,
+                            tuple_chunks=False)
         unit = None
         if detection is not None:
             unit = detection.deploy(bus, events, hierarchy, cores)

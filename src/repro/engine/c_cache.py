@@ -13,17 +13,28 @@ packed-word state — every ``_map``/``_sets`` dict, per-cache and
 AccessStats counters, the memory-controller channel clock,
 ``_memory_versions``, and the ``lru_rand`` Mersenne-Twister states —
 into flat C arrays, and from then on the C side is authoritative.
-The Python dicts become a *mirror* that is refreshed only at batch
-boundaries: :meth:`CWalkState.sync` (reached through
-``CacheHierarchy.engine_sync``) rebuilds them **in place** (object
-identity preserved, so held references stay valid), and every
-introspection entry point — ``SetAssociativeCache``'s read APIs via
-``_c_sync``, ``read_version``/``holders_of``/``check_invariants`` via
-``engine_sync`` — resyncs first.  Sync is a snapshot refresh, never a
-hand-back: mutating the Python dicts afterwards does not reach the C
-arrays.  That is why installation is refused once a Python kernel has
-closed over the dicts (``h._walk_issued``), mirroring the filter's
-``_kernel_issued`` guard.
+The Python objects become a *mirror*, refreshed in two tiers:
+
+* **counters at run end** — :meth:`CWalkState.sync` (called by
+  ``MulticoreSystem.run``) refreshes what a result reads without an
+  introspection call: ``AccessStats`` and ``per_core_accesses``,
+  per-cache ``_stamp``/``hits``/``misses``/``evictions``, the
+  memory-controller scalars and ``_write_counter``, and the
+  monitor/filter counters, then exports telemetry;
+* **lines on first introspection** — :meth:`CWalkState.sync_all`
+  also rebuilds every ``_map``/``_sets`` dict **in place** (object
+  identity preserved, so held references stay valid),
+  ``_memory_versions`` and the ``lru_rand`` Mersenne-Twister states,
+  but only when C ran since the last rebuild.  Every introspection
+  entry point reaches it: ``SetAssociativeCache``'s read APIs via
+  ``_c_sync``, ``read_version``/``holders_of``/``check_invariants``
+  via ``CacheHierarchy.engine_sync``.
+
+Sync is a snapshot refresh, never a hand-back: mutating the Python
+dicts afterwards does not reach the C arrays.  That is why
+installation is refused once a Python kernel has closed over the
+dicts (``h._walk_issued``), mirroring the filter's ``_kernel_issued``
+guard.
 
 Eligibility is *exact-semantics* eligibility: every refusal below is a
 configuration whose generic-engine behaviour the C port does not
@@ -230,7 +241,7 @@ def install(h) -> bool:
     state = CWalkState(ffi, lib, h)
     h._c_state = state
     for cobj in state.cache_objs:
-        cobj._c_sync = state.sync
+        cobj._c_sync = state.sync_all
     return True
 
 
@@ -245,8 +256,11 @@ class CWalkState:
         self.ffi = ffi
         self.lib = lib
         self.hier = h
-        #: True when C state may be ahead of the Python mirror.
+        #: True when C state may be ahead of the Python counters.
         self.dirty = False
+        #: True when the storage mirror lags the counters (set by
+        #: :meth:`sync`, cleared by :meth:`sync_all`).
+        self.lines_stale = False
         #: Exception raised inside a callback, re-raised by the wrapper.
         self.exc = None
 
@@ -641,36 +655,24 @@ class CWalkState:
     # ------------------------------------------------------------------
 
     def sync(self) -> None:
-        """Refresh the Python mirror from the C arrays (in place).
+        """Refresh the counters a result reads (the run-end sync).
 
-        Cheap when nothing ran since the last sync.  Read-only from
-        the C side's perspective: C stays authoritative afterwards.
+        ``AccessStats`` and ``per_core_accesses``, each cache's
+        ``_stamp``/``hits``/``misses``/``evictions``, the
+        memory-controller scalars and ``_write_counter``, and the
+        monitor/filter counters; then the telemetry export.  The
+        storage mirror is left stale for :meth:`sync_all`.  Cheap when
+        nothing ran since the last sync.  Read-only from the C side's
+        perspective: C stays authoritative afterwards.
         """
         if not self.dirty:
             return
         self.dirty = False
-        ffi = self.ffi
+        self.lines_stale = True
         st = self.st
-        unpack = ffi.unpack
         carr = st.caches
         for i, cobj in enumerate(self.cache_objs):
             cc = carr[i]
-            ways = cc.ways
-            n = (cc.set_mask + 1) * ways
-            tags = unpack(cc.tags, n)
-            words = unpack(cc.words, n)
-            stamps = unpack(cc.stamps, n)
-            cmap = cobj._map
-            cmap.clear()
-            sets = cobj._sets
-            for sdict in sets:
-                sdict.clear()
-            for j in range(n):
-                tag = tags[j]
-                if tag == _EMPTY:
-                    continue
-                cmap[tag] = words[j]
-                sets[j // ways][tag] = stamps[j]
             cobj._stamp = cc.stamp
             cobj.hits = cc.hits
             cobj.misses = cc.misses
@@ -679,7 +681,8 @@ class CWalkState:
         stats = h.stats
         for name in _STAT_FIELDS:
             setattr(stats, name, getattr(st, "s_" + name))
-        stats.per_core_accesses[:] = unpack(st.per_core, st.num_cores)
+        stats.per_core_accesses[:] = self.ffi.unpack(st.per_core,
+                                                     st.num_cores)
         h._write_counter = st.write_counter
         mc = h.mc
         mc._channel_free_at = st.channel_free_at
@@ -687,20 +690,6 @@ class CWalkState:
         mc.demand_fetches = st.demand_fetches
         mc.prefetch_fetches = st.prefetch_fetches
         mc.writebacks = st.writebacks
-        memver = h._memory_versions
-        memver.clear()
-        count = st.memver.count
-        if count:
-            keys = ffi.new("uint64_t[]", count)
-            vals = ffi.new("uint64_t[]", count)
-            self.lib.cw_map_items(st, keys, vals)
-            memver.update(zip(unpack(keys, count), unpack(vals, count)))
-        if st.llc_victim_rand:
-            for i, sl in enumerate(h._llc_slices):
-                mt = unpack(st.rng[i].mt, 624)
-                sl.policy._rng.setstate(
-                    (3, tuple(mt) + (st.rng[i].mti,), None)
-                )
         if st.mon_kind == 1:
             # Inline-monitor counters: deltas for the additive Python
             # counters (the monitor/filter may also be driven from
@@ -723,6 +712,55 @@ class CWalkState:
         # Scalar-kernel runs reach the sink here: sync is the batch
         # boundary the introspection paths already pay for.
         self._export_telemetry()
+
+    def sync_all(self) -> None:
+        """:meth:`sync`, then the storage mirror: every
+        ``_map``/``_sets`` dict (in place), ``_memory_versions`` and
+        the ``lru_rand`` RNG states.  The introspection entry points
+        call this; the lines are rebuilt only when C ran since the
+        last rebuild.
+        """
+        self.sync()
+        if not self.lines_stale:
+            return
+        self.lines_stale = False
+        ffi = self.ffi
+        st = self.st
+        unpack = ffi.unpack
+        carr = st.caches
+        for i, cobj in enumerate(self.cache_objs):
+            cc = carr[i]
+            ways = cc.ways
+            n = (cc.set_mask + 1) * ways
+            tags = unpack(cc.tags, n)
+            words = unpack(cc.words, n)
+            stamps = unpack(cc.stamps, n)
+            cmap = cobj._map
+            cmap.clear()
+            sets = cobj._sets
+            for sdict in sets:
+                sdict.clear()
+            for j in range(n):
+                tag = tags[j]
+                if tag == _EMPTY:
+                    continue
+                cmap[tag] = words[j]
+                sets[j // ways][tag] = stamps[j]
+        h = self.hier
+        memver = h._memory_versions
+        memver.clear()
+        count = st.memver.count
+        if count:
+            keys = ffi.new("uint64_t[]", count)
+            vals = ffi.new("uint64_t[]", count)
+            self.lib.cw_map_items(st, keys, vals)
+            memver.update(zip(unpack(keys, count), unpack(vals, count)))
+        if st.llc_victim_rand:
+            for i, sl in enumerate(h._llc_slices):
+                mt = unpack(st.rng[i].mt, 624)
+                sl.policy._rng.setstate(
+                    (3, tuple(mt) + (st.rng[i].mti,), None)
+                )
 
 
 #: AccessStats counter fields mirrored into ``cw_hier.s_*`` (order

@@ -170,7 +170,6 @@ def _run_tenant(profile: TenantProfile) -> dict:
         profile.full,
         filter_size=profile.filter_size,
         security_threshold=profile.secthr,
-        monitor_enabled=True,
     )
     record = {
         "kind": profile.kind,
@@ -180,12 +179,6 @@ def _run_tenant(profile: TenantProfile) -> dict:
         ),
     }
     if profile.kind == "benign":
-        config = scaled_system_config(
-            profile.full,
-            filter_size=profile.filter_size,
-            security_threshold=profile.secthr,
-            monitor_enabled=False,
-        )
         workloads = scaled_mix_workloads(profile.mix, profile.full)
         simulation, _, _ = run_defended_workloads(
             config, workloads, "pipo", seed=profile.seed,

@@ -20,6 +20,12 @@ The explicit fallback cases — a generator-fed core, a core throttled
 by an event mid-run, an ineligible hierarchy, a record that does not
 fit the C record array — must keep the Python loop and the same
 results.
+
+Defended runs (``run_defended_workloads`` with a detection unit) end
+with a counters-only sync under ``c``: their counters must match the
+``python`` engine's before any introspection call, every
+introspection entry point must refresh the stale line mirror on
+first use, and a second run on a stale mirror must stay bit-exact.
 """
 
 import dataclasses
@@ -35,6 +41,8 @@ from repro.core.config import CacheLevelConfig, FilterConfig, SystemConfig
 from repro.core.pipomonitor import PiPoMonitor
 from repro.cpu.core import Core
 from repro.cpu.multicore import MulticoreSystem
+from repro.cpu.system import _bind_cores, run_defended_workloads
+from repro.detection import DetectionSpec
 from repro.engine import available_engines
 from repro.engine.c_cache import CWalkState
 from repro.obs.telemetry import Telemetry, attached
@@ -327,3 +335,160 @@ def test_unconvertible_record_falls_back():
     outcome, calls = _simulate("c", streams, sizes, None, 3)
     assert len(calls) == 1 and calls[0] > 0
     assert outcome == reference
+
+
+# ----------------------------------------------------------------------
+# Defended runs: counters at run end, lines on first introspection
+# ----------------------------------------------------------------------
+
+def _detection(response="log", **params):
+    return DetectionSpec(
+        detectors=(("rate", {"threshold": 1, "window": 2000}),),
+        response=response, response_params=params or None,
+    )
+
+
+def _defended(engine, streams, detection, first=None, rerun=False):
+    """``run_defended_workloads`` (pipo, a detection unit, an lru_rand
+    LLC, scripted streams with writes) under ``engine``.
+
+    Returns ``(run_cores calls, readings)``.  The readings are, in
+    order: the counters, read before any introspection call; then
+    ``first(h)``, the first introspection call (if given); then, with
+    ``rerun``, the counters of a second run of the same streams on the
+    same hierarchy, started while the line mirror is stale under c;
+    finally the full mirror read straight off the Python objects
+    (``first`` or ``engine_sync`` refreshed it).
+    """
+    config = _config(len(streams), 3)
+    workloads = [ScriptedWorkload(records) for records in streams]
+    with _engine(engine), _scheduler_spy() as calls:
+        result, monitor, h = run_defended_workloads(
+            config, workloads, "pipo", seed=5, detection=detection)
+        readings = [_counters(result, monitor, h)]
+        if engine == "c":
+            assert h._c_state.lines_stale
+        if first is not None:
+            readings.append(first(h))
+        if rerun:
+            cores = _bind_cores(h, workloads, 9, tuple_chunks=False)
+            again = MulticoreSystem(h, cores, monitor.events).run()
+            readings.append(_counters(again, monitor, h))
+        if first is None:
+            h.engine_sync()
+        readings.append(_mirror(h))
+    return calls, readings
+
+
+def _counters(result, monitor, h):
+    """Everything a result reads without an introspection call."""
+    mc = h.mc
+    return {
+        "result": (result.core_times, result.core_instructions,
+                   result.core_memory_ops, dataclasses.asdict(result.stats),
+                   result.extra.get("detection")),
+        "caches": [(c._stamp, c.hits, c.misses, c.evictions)
+                   for c in (*h.l1d, *h.l1i, *h.l2, *h.llc.slices)],
+        "write_counter": h._write_counter,
+        "memory_controller": (mc._channel_free_at, mc.total_queue_wait,
+                              mc.demand_fetches, mc.prefetch_fetches,
+                              mc.writebacks),
+        "monitor": dataclasses.asdict(monitor.stats),
+        "filter": (monitor.filter.total_accesses, monitor.filter.valid_count,
+                   monitor.filter.autonomic_deletions,
+                   monitor.filter.total_relocations),
+    }
+
+
+def _mirror(h):
+    """The storage mirror as the Python objects hold it (no sync)."""
+    return {
+        "caches": [(c._map, c._sets)
+                   for c in (*h.l1d, *h.l1i, *h.l2, *h.llc.slices)],
+        "memory_versions": dict(h._memory_versions),
+        "rngs": [s.policy._rng.getstate() for s in h.llc.slices],
+    }
+
+
+#: Each introspection entry point, called first after a run.
+_INTROSPECTION = {
+    "lookup": lambda h: [
+        None if v is None else (v.word, v.state)
+        for c in (*h.l1d, *h.l2, *h.llc.slices)
+        for v in map(c.lookup, range(256))
+    ],
+    "llc_lookup": lambda h: [
+        None if v is None else v.word for v in map(h.llc.lookup, range(256))
+    ],
+    "lines": lambda h: [
+        sorted((v.addr, v.word) for v in c.lines())
+        for c in (*h.l1d, *h.l1i, *h.l2)
+    ],
+    "llc_lines": lambda h: sorted((v.addr, v.word) for v in h.llc.lines()),
+    "set_lines": lambda h: [
+        sorted((v.addr, v.word) for v in h.llc.set_lines(line))
+        for line in range(64)
+    ],
+    "resident": lambda h: [
+        c.resident for c in (*h.l1d, *h.l2, *h.llc.slices)
+    ] + [h.llc.occupancy()],
+    "contains": lambda h: [line in h.l2[0] for line in range(256)],
+    "len": lambda h: [len(c) for c in (*h.l1d, *h.l2)],
+    "read_version": lambda h: [
+        h.read_version(core, line * 64)
+        for core in range(h.num_cores) for line in range(256)
+    ],
+    "holders_of": lambda h: [h.holders_of(line) for line in range(256)],
+    "check_invariants": lambda h: h.check_invariants(),
+    "engine_sync": lambda h: h.engine_sync(),
+}
+
+
+def _write_streams():
+    """The busy streams plus a write-heavy tail that evicts dirty
+    lines, so memory versions and writebacks are in play."""
+    streams = _busy_streams()
+    for cid, stream in enumerate(streams):
+        stream += [(1, 1, ((cid * 37 + i * 13) % 200) * 64)
+                   for i in range(120)]
+    return streams
+
+
+@pytest.mark.parametrize("entry", sorted(_INTROSPECTION))
+def test_defended_run_syncs_counters_then_lines_on_first_use(entry):
+    """A defended run under c ends with a counters-only sync: the
+    counters equal the python engine's before any introspection call,
+    and whichever introspection entry point comes first refreshes the
+    lines, memory versions and LLC RNG states."""
+    streams = _write_streams()
+    first = _INTROSPECTION[entry]
+    _, reference = _defended("python", streams, _detection(), first)
+    calls, outcome = _defended("c", streams, _detection(), first)
+    assert calls == [0]
+    assert outcome == reference
+    assert reference[0]["result"][3]["writes"] > 0
+    assert reference[0]["memory_controller"][4] > 0
+    assert reference[-1]["memory_versions"]
+
+
+def test_second_run_on_a_stale_mirror_stays_bit_exact():
+    streams = _write_streams()
+    _, reference = _defended("python", streams, _detection(), rerun=True)
+    calls, outcome = _defended("c", streams, _detection(), rerun=True)
+    assert calls == [0, 0]
+    assert outcome == reference
+    assert reference[1] != reference[0]
+
+
+def test_defended_core_throttled_mid_run_hands_back():
+    """A throttle verdict during a C-scheduled defended run: the run
+    comes back to the Python loop and ends as the python engine's."""
+    streams = _write_streams()
+    detection = _detection("throttle_core", penalty=25, duration=3000,
+                           delay=0)
+    _, reference = _defended("python", streams, detection, rerun=True)
+    calls, outcome = _defended("c", streams, detection, rerun=True)
+    assert calls[0] > 0
+    assert outcome == reference
+    windows = reference[0]["result"][4]["throttle_windows"]
+    assert windows > 0

@@ -184,6 +184,68 @@ def test_parallel_and_chunked_digests_match_serial():
     )
 
 
+def _spy_tenants(monkeypatch) -> dict:
+    """Tag every ``run_cores`` result (cores handed back to the Python
+    loop) and every ``Core.step`` call with the running tenant's kind,
+    until the test ends."""
+    from repro.cpu.core import Core
+    from repro.engine.c_cache import CWalkState
+    from repro.experiments import campaign
+
+    seen = {"kind": None, "tenants": [], "run_cores": [], "steps": []}
+    run_tenant = campaign._run_tenant
+    run_cores = CWalkState.run_cores
+    step = Core.step
+
+    def tenant(profile):
+        seen["kind"] = profile.kind
+        seen["tenants"].append(profile.kind)
+        return run_tenant(profile)
+
+    def spy_run_cores(self, *args):
+        rest = run_cores(self, *args)
+        seen["run_cores"].append((seen["kind"], len(rest)))
+        return rest
+
+    def spy_step(self, budget):
+        seen["steps"].append(seen["kind"])
+        return step(self, budget)
+
+    monkeypatch.setattr(campaign, "_run_tenant", tenant)
+    monkeypatch.setattr(CWalkState, "run_cores", spy_run_cores)
+    monkeypatch.setattr(Core, "step", spy_step)
+    return seen
+
+
+def test_campaign_digest_identical_across_engines(monkeypatch):
+    """Both tenant kinds, serially, under every engine: one aggregate
+    digest.  Under ``c`` every benign tenant runs on the C scheduler
+    to the end (``run_cores`` hands no core back) and never steps a
+    core in Python; attackers keep the Python loop."""
+    from repro.engine import available_engines
+
+    digests = {}
+    for engine in ("python", "specialized"):
+        monkeypatch.setenv("REPRO_ENGINE", engine)
+        digests[engine] = _tiny_run(
+            seed=1, tenants=24, jobs=1
+        ).data["aggregate_digest"]
+    assert digests["python"] == digests["specialized"]
+    if "c" not in available_engines():
+        pytest.skip("C backend not buildable")
+    monkeypatch.setenv("REPRO_ENGINE", "c")
+    seen = _spy_tenants(monkeypatch)
+    digest = _tiny_run(seed=1, tenants=24, jobs=1).data["aggregate_digest"]
+    assert digest == digests["python"]
+    benign = seen["tenants"].count("benign")
+    assert 0 < benign < len(seen["tenants"]) == 24
+    assert [
+        rest for kind, rest in seen["run_cores"] if kind == "benign"
+    ] == [0] * benign
+    assert "benign" not in seen["steps"]
+    assert seen["steps"], "attackers keep the Python loop"
+
+
 def test_campaign_warns_when_serial():
     with pytest.warns(RuntimeWarning, match="serial"):
         run(seed=1, tenants=1, jobs=1, **TINY)
